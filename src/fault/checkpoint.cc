@@ -1,17 +1,13 @@
 #include "fault/checkpoint.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <system_error>
 
+#include "durable/durable_file.h"
 #include "fault/failpoint.h"
-#include "fault/snapshot.h"
+#include "stream/batch_codec.h"
 
 namespace freeway {
 
@@ -28,72 +24,6 @@ struct CheckpointHeader {
   uint64_t payload_size = 0;
   uint32_t crc32 = 0;
 };
-
-std::string ErrnoMessage(const std::string& what, const std::string& path) {
-  return what + " " + path + ": " + std::strerror(errno);
-}
-
-/// RAII fd so every error path below can early-return without leaking.
-class ScopedFd {
- public:
-  explicit ScopedFd(int fd) : fd_(fd) {}
-  ~ScopedFd() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-  ScopedFd(const ScopedFd&) = delete;
-  ScopedFd& operator=(const ScopedFd&) = delete;
-
-  int get() const { return fd_; }
-  int Release() {
-    int fd = fd_;
-    fd_ = -1;
-    return fd;
-  }
-
- private:
-  int fd_;
-};
-
-Status WriteAll(int fd, const char* data, size_t size,
-                const std::string& path) {
-  size_t written = 0;
-  while (written < size) {
-    ssize_t n = ::write(fd, data + written, size - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IoError(ErrnoMessage("checkpoint: write failed for", path));
-    }
-    written += static_cast<size_t>(n);
-  }
-  return Status::OK();
-}
-
-Status ReadAll(int fd, char* data, size_t size, const std::string& path) {
-  size_t got = 0;
-  while (got < size) {
-    ssize_t n = ::read(fd, data + got, size - got);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IoError(ErrnoMessage("checkpoint: read failed for", path));
-    }
-    if (n == 0) {
-      return Status::InvalidArgument("checkpoint: truncated file " + path);
-    }
-    got += static_cast<size_t>(n);
-  }
-  return Status::OK();
-}
-
-Status FsyncPath(const std::string& path) {
-  ScopedFd fd(::open(path.c_str(), O_RDONLY));
-  if (fd.get() < 0) {
-    return Status::IoError(ErrnoMessage("checkpoint: open for fsync", path));
-  }
-  if (::fsync(fd.get()) != 0) {
-    return Status::IoError(ErrnoMessage("checkpoint: fsync failed for", path));
-  }
-  return Status::OK();
-}
 
 /// Parses "<name>-<seq>.ckpt" into its name and sequence. The split point
 /// is the *last* '-' whose remainder is all digits, which inverts the
@@ -204,41 +134,20 @@ Status CheckpointStore::Write(const std::string& name,
   header.payload_size = payload.size();
   header.crc32 = Crc32(payload.data(), payload.size());
 
-  const fs::path final_path =
-      fs::path(options_.directory) /
-      (name + "-" + std::to_string(sequence) + ".ckpt");
-  const fs::path tmp_path = final_path.string() + ".tmp";
-
-  {
-    ScopedFd fd(::open(tmp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644));
-    if (fd.get() < 0) {
-      return Status::IoError(
-          ErrnoMessage("checkpoint: cannot create", tmp_path.string()));
-    }
-    RETURN_IF_ERROR(WriteAll(fd.get(),
-                             reinterpret_cast<const char*>(&header),
-                             sizeof(header), tmp_path.string()));
-    RETURN_IF_ERROR(
-        WriteAll(fd.get(), payload.data(), payload.size(), tmp_path.string()));
-    if (options_.fsync && ::fsync(fd.get()) != 0) {
-      return Status::IoError(
-          ErrnoMessage("checkpoint: fsync failed for", tmp_path.string()));
-    }
-  }
-
-  std::error_code ec;
-  fs::rename(tmp_path, final_path, ec);
-  if (ec) {
-    fs::remove(tmp_path, ec);
-    return Status::IoError("checkpoint: rename to " + final_path.string() +
-                           " failed: " + ec.message());
-  }
-  if (options_.fsync) {
-    RETURN_IF_ERROR(FsyncPath(options_.directory));
-  }
-  versions.push_back({sequence, final_path.string()});
+  const std::string final_path =
+      (fs::path(options_.directory) /
+       (name + "-" + std::to_string(sequence) + ".ckpt"))
+          .string();
+  RETURN_IF_ERROR(AtomicFile::Write(
+      final_path,
+      {std::span<const char>(reinterpret_cast<const char*>(&header),
+                             sizeof(header)),
+       payload},
+      options_.fsync));
+  versions.push_back({sequence, final_path});
 
   // Prune only after the new version is durably in place.
+  std::error_code ec;
   while (versions.size() > options_.keep_versions) {
     fs::remove(versions.front().path, ec);
     versions.erase(versions.begin());
@@ -248,17 +157,12 @@ Status CheckpointStore::Write(const std::string& name,
 
 Result<std::vector<char>> CheckpointStore::ReadFile(const std::string& path) {
   FREEWAY_FAILPOINT("checkpoint.read");
-  ScopedFd fd(::open(path.c_str(), O_RDONLY));
-  if (fd.get() < 0) {
-    if (errno == ENOENT) {
-      return Status::NotFound("checkpoint: no such file " + path);
-    }
-    return Status::IoError(ErrnoMessage("checkpoint: cannot open", path));
-  }
-
+  ASSIGN_OR_RETURN(std::vector<char> bytes, AtomicFile::Read(path));
   CheckpointHeader header;
-  RETURN_IF_ERROR(
-      ReadAll(fd.get(), reinterpret_cast<char*>(&header), sizeof(header), path));
+  if (bytes.size() < sizeof(header)) {
+    return Status::InvalidArgument("checkpoint: truncated file " + path);
+  }
+  std::memcpy(&header, bytes.data(), sizeof(header));
   if (header.magic != kCheckpointMagic) {
     return Status::InvalidArgument("checkpoint: bad magic in " + path);
   }
@@ -267,29 +171,18 @@ Result<std::vector<char>> CheckpointStore::ReadFile(const std::string& path) {
         "checkpoint: unsupported format version " +
         std::to_string(header.version) + " in " + path);
   }
-
-  std::error_code ec;
-  const uintmax_t file_size = fs::file_size(path, ec);
-  if (ec) {
-    return Status::IoError("checkpoint: cannot stat " + path + ": " +
-                           ec.message());
-  }
-  if (file_size != sizeof(header) + header.payload_size) {
+  const size_t held = bytes.size() - sizeof(header);
+  if (header.payload_size != held) {
     return Status::InvalidArgument(
         "checkpoint: payload size mismatch in " + path + " (header says " +
         std::to_string(header.payload_size) + ", file holds " +
-        std::to_string(file_size - sizeof(header)) + ")");
+        std::to_string(held) + ")");
   }
-
-  std::vector<char> payload(header.payload_size);
-  if (!payload.empty()) {
-    RETURN_IF_ERROR(ReadAll(fd.get(), payload.data(), payload.size(), path));
-  }
-  const uint32_t crc = Crc32(payload.data(), payload.size());
-  if (crc != header.crc32) {
+  bytes.erase(bytes.begin(), bytes.begin() + sizeof(header));
+  if (Crc32(bytes.data(), bytes.size()) != header.crc32) {
     return Status::InvalidArgument("checkpoint: CRC mismatch in " + path);
   }
-  return payload;
+  return bytes;
 }
 
 Result<std::vector<char>> CheckpointStore::ReadLatest(

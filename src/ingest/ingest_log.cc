@@ -1,10 +1,6 @@
 #include "ingest/ingest_log.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
@@ -13,6 +9,7 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "durable/durable_file.h"
 #include "fault/failpoint.h"
 
 namespace freeway {
@@ -24,70 +21,11 @@ namespace {
 constexpr uint32_t kSegmentMagic = 0x47495746;  // 'FWIG'
 constexpr uint32_t kSegmentFormatVersion = 1;
 constexpr size_t kSegmentHeaderBytes = 16;
-constexpr size_t kRecordHeaderBytes = 8;
-/// A record payload above this is corruption, not data — the same bound as
-/// the wire protocol's kMaxFramePayload, since every batch record is a
-/// logged SUBMIT.
-constexpr uint32_t kMaxRecordPayload = 64u << 20;
 
 /// Record payload section tags.
 constexpr uint32_t kTagBatchRecord = 0x54414249;   // 'IBAT'
 constexpr uint32_t kTagRevertRecord = 0x54565249;  // 'IRVT'
 constexpr uint32_t kTagWatermarks = 0x4B4D5749;    // 'IWMK'
-
-std::string ErrnoMessage(const std::string& what, const std::string& path) {
-  return what + " " + path + ": " + std::strerror(errno);
-}
-
-/// RAII fd so every error path below can early-return without leaking.
-class ScopedFd {
- public:
-  explicit ScopedFd(int fd) : fd_(fd) {}
-  ~ScopedFd() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-  ScopedFd(const ScopedFd&) = delete;
-  ScopedFd& operator=(const ScopedFd&) = delete;
-
-  int get() const { return fd_; }
-  int Release() {
-    int fd = fd_;
-    fd_ = -1;
-    return fd;
-  }
-
- private:
-  int fd_;
-};
-
-Status WriteAll(int fd, const char* data, size_t size,
-                const std::string& path) {
-  size_t written = 0;
-  while (written < size) {
-    ssize_t n = ::write(fd, data + written, size - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IoError(ErrnoMessage("ingest: write failed for", path));
-    }
-    written += static_cast<size_t>(n);
-  }
-  return Status::OK();
-}
-
-Status FsyncFd(int fd, const std::string& path) {
-  if (::fsync(fd) != 0) {
-    return Status::IoError(ErrnoMessage("ingest: fsync failed for", path));
-  }
-  return Status::OK();
-}
-
-Status FsyncPath(const std::string& path) {
-  ScopedFd fd(::open(path.c_str(), O_RDONLY));
-  if (fd.get() < 0) {
-    return Status::IoError(ErrnoMessage("ingest: open for fsync", path));
-  }
-  return FsyncFd(fd.get(), path);
-}
 
 /// Parses "ingest-<base_lsn>.seg" into the base LSN.
 bool ParseSegmentFilename(const std::string& filename, uint64_t* base_lsn) {
@@ -157,7 +95,7 @@ std::vector<char> EncodeWatermarkRecord(uint64_t covered_lsn,
 
 /// Parses one CRC-verified record payload. Failure here is *not* a torn
 /// tail — the CRC already passed — so callers treat it as hard corruption.
-Status ParseRecordPayload(const std::vector<char>& payload, LogRecord* out) {
+Status ParseRecordPayload(std::span<const char> payload, LogRecord* out) {
   SnapshotReader reader(payload);
   uint32_t tag = 0;
   RETURN_IF_ERROR(reader.ReadU32(&tag));
@@ -214,48 +152,25 @@ struct SegmentScan {
   /// when the scan stopped early (see tail_error).
   size_t valid_end = 0;
   size_t file_size = 0;
-  /// Why the scan stopped before the end of the file: a truncated or
-  /// CRC-failing record. OK when the whole file parsed. Only the *last*
-  /// segment of a log may carry this (a torn tail); anywhere else it is
-  /// corruption.
+  /// Why the scan stopped before the end of the file (RecordScan::torn).
+  /// Only the *last* segment of a log may carry this (a torn tail);
+  /// anywhere else it is corruption.
   Status tail_error = Status::OK();
 };
 
 Result<SegmentScan> ScanSegmentFile(const std::string& path) {
-  ScopedFd fd(::open(path.c_str(), O_RDONLY));
-  if (fd.get() < 0) {
-    return Status::IoError(ErrnoMessage("ingest: cannot open", path));
-  }
-  std::error_code ec;
-  const uintmax_t file_size = fs::file_size(path, ec);
-  if (ec) {
-    return Status::IoError("ingest: cannot stat " + path + ": " +
-                           ec.message());
-  }
-  std::vector<char> bytes(static_cast<size_t>(file_size));
-  size_t got = 0;
-  while (got < bytes.size()) {
-    const ssize_t n = ::read(fd.get(), bytes.data() + got, bytes.size() - got);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IoError(ErrnoMessage("ingest: read failed for", path));
-    }
-    if (n == 0) break;  // Shrunk under us; the scan below sees the prefix.
-    got += static_cast<size_t>(n);
-  }
-  bytes.resize(got);
-
-  SegmentScan scan;
-  scan.file_size = bytes.size();
-  if (bytes.size() < kSegmentHeaderBytes) {
+  ASSIGN_OR_RETURN(RecordScan file,
+                   RecordFile::Scan(path, kSegmentHeaderBytes));
+  if (file.bytes.size() < kSegmentHeaderBytes) {
     return Status::InvalidArgument("ingest: segment " + path +
                                    " is shorter than its header");
   }
+  SegmentScan scan;
   uint32_t magic = 0;
   uint32_t version = 0;
-  std::memcpy(&magic, bytes.data(), 4);
-  std::memcpy(&version, bytes.data() + 4, 4);
-  std::memcpy(&scan.base_lsn, bytes.data() + 8, 8);
+  std::memcpy(&magic, file.bytes.data(), 4);
+  std::memcpy(&version, file.bytes.data() + 4, 4);
+  std::memcpy(&scan.base_lsn, file.bytes.data() + 8, 8);
   if (magic != kSegmentMagic) {
     return Status::InvalidArgument("ingest: bad magic in " + path);
   }
@@ -263,53 +178,23 @@ Result<SegmentScan> ScanSegmentFile(const std::string& path) {
     return Status::InvalidArgument("ingest: unsupported segment version " +
                                    std::to_string(version) + " in " + path);
   }
-
-  size_t pos = kSegmentHeaderBytes;
-  scan.valid_end = pos;
-  while (pos < bytes.size()) {
-    if (bytes.size() - pos < kRecordHeaderBytes) {
-      scan.tail_error =
-          Status::InvalidArgument("ingest: truncated record header in " + path);
-      break;
-    }
-    uint32_t payload_size = 0;
-    uint32_t payload_crc = 0;
-    std::memcpy(&payload_size, bytes.data() + pos, 4);
-    std::memcpy(&payload_crc, bytes.data() + pos + 4, 4);
-    if (payload_size > kMaxRecordPayload) {
-      scan.tail_error = Status::InvalidArgument(
-          "ingest: record of " + std::to_string(payload_size) +
-          " bytes exceeds the format maximum in " + path);
-      break;
-    }
-    if (bytes.size() - pos - kRecordHeaderBytes < payload_size) {
-      scan.tail_error =
-          Status::InvalidArgument("ingest: truncated record payload in " + path);
-      break;
-    }
-    const char* payload_bytes = bytes.data() + pos + kRecordHeaderBytes;
-    if (Crc32(payload_bytes, payload_size) != payload_crc) {
-      scan.tail_error =
-          Status::InvalidArgument("ingest: record CRC mismatch in " + path);
-      break;
-    }
-    std::vector<char> payload(payload_bytes, payload_bytes + payload_size);
+  for (std::span<const char> payload : file.payloads) {
     LogRecord record;
-    // CRC-valid bytes that fail to parse are hard corruption everywhere
-    // (a tear cannot survive the CRC), so this is not a tail_error.
     RETURN_IF_ERROR(ParseRecordPayload(payload, &record));
     scan.records.push_back(std::move(record));
-    pos += kRecordHeaderBytes + payload_size;
-    scan.valid_end = pos;
   }
+  scan.valid_end = file.valid_end;
+  scan.file_size = file.bytes.size();
+  scan.tail_error = std::move(file.torn);
   return scan;
 }
 
 }  // namespace
 
 IngestLog::IngestLog(IngestLogOptions options) : options_(std::move(options)) {
-  if (options_.segment_max_bytes < kSegmentHeaderBytes + kRecordHeaderBytes) {
-    options_.segment_max_bytes = kSegmentHeaderBytes + kRecordHeaderBytes;
+  if (options_.segment_max_bytes <
+      kSegmentHeaderBytes + RecordFile::kFrameBytes) {
+    options_.segment_max_bytes = kSegmentHeaderBytes + RecordFile::kFrameBytes;
   }
   if (options_.metrics != nullptr) {
     MetricsRegistry* registry = options_.metrics;
@@ -323,10 +208,6 @@ IngestLog::IngestLog(IngestLogOptions options) : options_(std::move(options)) {
     metric_append_seconds_ =
         registry->GetHistogram("freeway_ingest_append_seconds");
   }
-}
-
-IngestLog::~IngestLog() {
-  if (active_fd_ >= 0) ::close(active_fd_);
 }
 
 Status IngestLog::Open(DedupIndex* dedup) {
@@ -388,8 +269,9 @@ Status IngestLog::OpenLocked(DedupIndex* dedup) {
           "ingest: segment " + segments[i].path + " header claims base LSN " +
           std::to_string(scan.base_lsn));
     }
+    const bool last = i + 1 == segments.size();
     if (!scan.tail_error.ok()) {
-      if (i + 1 != segments.size()) {
+      if (!last) {
         // Sealed segments are never written again, so a tear cannot
         // explain a bad record here.
         return Status(scan.tail_error.code(),
@@ -401,12 +283,6 @@ Status IngestLog::OpenLocked(DedupIndex* dedup) {
                             << segments[i].path << " ("
                             << (scan.file_size - scan.valid_end)
                             << " bytes): " << scan.tail_error.message();
-      if (!options_.read_only &&
-          ::truncate(segments[i].path.c_str(),
-                     static_cast<off_t>(scan.valid_end)) != 0) {
-        return Status::IoError(
-            ErrnoMessage("ingest: cannot truncate", segments[i].path));
-      }
     }
     for (const LogRecord& record : scan.records) {
       ++stats_.recovered_records;
@@ -436,16 +312,11 @@ Status IngestLog::OpenLocked(DedupIndex* dedup) {
     // A snapshot-only segment (fresh after an anchored truncation) carries
     // the next LSN in its header.
     next_lsn_ = std::max(next_lsn_, segments[i].base_lsn);
-    if (i + 1 == segments.size() && !options_.read_only) {
-      const size_t size = scan.tail_error.ok() ? scan.file_size
-                                               : scan.valid_end;
-      ScopedFd fd(::open(segments[i].path.c_str(), O_WRONLY | O_APPEND));
-      if (fd.get() < 0) {
-        return Status::IoError(
-            ErrnoMessage("ingest: cannot reopen", segments[i].path));
+    if (last && !options_.read_only) {
+      RETURN_IF_ERROR(active_.Open(segments[i].path));
+      if (!scan.tail_error.ok()) {
+        RETURN_IF_ERROR(active_.Truncate(scan.valid_end));
       }
-      active_fd_ = fd.Release();
-      active_size_ = size;
     }
   }
   segments_ = std::move(segments);
@@ -458,15 +329,11 @@ Status IngestLog::OpenLocked(DedupIndex* dedup) {
 }
 
 Status IngestLog::StartSegmentLocked(uint64_t base_lsn) {
-  if (active_fd_ >= 0) {
-    ::close(active_fd_);
-    active_fd_ = -1;
-  }
-  const fs::path final_path =
-      fs::path(options_.directory) /
-      ("ingest-" + std::to_string(base_lsn) + ".seg");
-  const fs::path tmp_path = final_path.string() + ".tmp";
-
+  active_.Close();
+  const std::string path =
+      (fs::path(options_.directory) /
+       ("ingest-" + std::to_string(base_lsn) + ".seg"))
+          .string();
   std::vector<char> head(kSegmentHeaderBytes);
   std::memcpy(head.data(), &kSegmentMagic, 4);
   std::memcpy(head.data() + 4, &kSegmentFormatVersion, 4);
@@ -474,81 +341,31 @@ Status IngestLog::StartSegmentLocked(uint64_t base_lsn) {
   if (dedup_ != nullptr) {
     // Head snapshot: everything the table learned from records below
     // base_lsn, so recovery never needs the pruned segments.
-    const std::vector<char> payload =
-        EncodeWatermarkRecord(base_lsn == 0 ? 0 : base_lsn - 1, *dedup_);
-    const uint32_t size = static_cast<uint32_t>(payload.size());
-    const uint32_t crc = Crc32(payload.data(), payload.size());
-    head.resize(kSegmentHeaderBytes + kRecordHeaderBytes + payload.size());
-    std::memcpy(head.data() + kSegmentHeaderBytes, &size, 4);
-    std::memcpy(head.data() + kSegmentHeaderBytes + 4, &crc, 4);
-    std::memcpy(head.data() + kSegmentHeaderBytes + kRecordHeaderBytes,
-                payload.data(), payload.size());
+    RecordFile::Frame(
+        EncodeWatermarkRecord(base_lsn == 0 ? 0 : base_lsn - 1, *dedup_),
+        &head);
   }
-
-  {
-    ScopedFd fd(::open(tmp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644));
-    if (fd.get() < 0) {
-      return Status::IoError(
-          ErrnoMessage("ingest: cannot create", tmp_path.string()));
-    }
-    RETURN_IF_ERROR(
-        WriteAll(fd.get(), head.data(), head.size(), tmp_path.string()));
-    if (options_.fsync) {
-      RETURN_IF_ERROR(FsyncFd(fd.get(), tmp_path.string()));
-    }
-  }
-  std::error_code ec;
-  fs::rename(tmp_path, final_path, ec);
-  if (ec) {
-    fs::remove(tmp_path, ec);
-    return Status::IoError("ingest: rename to " + final_path.string() +
-                           " failed: " + ec.message());
-  }
-  if (options_.fsync) {
-    RETURN_IF_ERROR(FsyncPath(options_.directory));
-  }
-  ScopedFd fd(::open(final_path.c_str(), O_WRONLY | O_APPEND));
-  if (fd.get() < 0) {
-    return Status::IoError(
-        ErrnoMessage("ingest: cannot reopen", final_path.string()));
-  }
-  active_fd_ = fd.Release();
-  active_size_ = head.size();
-  segments_.push_back({base_lsn, final_path.string()});
+  RETURN_IF_ERROR(AtomicFile::Write(path, {head}, options_.fsync));
+  RETURN_IF_ERROR(active_.Open(path));
+  segments_.push_back({base_lsn, path});
   stats_.segments = segments_.size();
   return Status::OK();
 }
 
 Status IngestLog::AppendPayloadLocked(const std::vector<char>& payload) {
-  if (active_size_ >= options_.segment_max_bytes) {
+  if (active_.size() >= options_.segment_max_bytes) {
     RETURN_IF_ERROR(RotateLocked());
   }
-  std::vector<char> buffer(kRecordHeaderBytes + payload.size());
-  const uint32_t size = static_cast<uint32_t>(payload.size());
-  const uint32_t crc = Crc32(payload.data(), payload.size());
-  std::memcpy(buffer.data(), &size, 4);
-  std::memcpy(buffer.data() + 4, &crc, 4);
-  std::memcpy(buffer.data() + kRecordHeaderBytes, payload.data(),
-              payload.size());
-  const std::string& path = segments_.back().path;
-  Status written = WriteAll(active_fd_, buffer.data(), buffer.size(), path);
-  if (written.ok() && options_.fsync) {
-    written = FsyncFd(active_fd_, path);
+  Status appended = active_.Append(payload, options_.fsync);
+  if (!appended.ok()) {
+    // A segment closed by a failed rollback ends in a torn tail that the
+    // next Open() truncates; this process must stop appending past it.
+    if (!active_.is_open()) opened_ = false;
+    return appended;
   }
-  if (!written.ok()) {
-    // Roll the partial record back so the segment stays parseable; a
-    // failed rollback leaves a torn tail that the next Open() truncates,
-    // but this process must stop appending past it.
-    if (::ftruncate(active_fd_, static_cast<off_t>(active_size_)) != 0) {
-      opened_ = false;
-      FREEWAY_LOG(kError) << "ingest: append and rollback both failed for "
-                          << path << "; log closed: " << written;
-    }
-    return written;
-  }
-  active_size_ += buffer.size();
   if (metric_append_bytes_ != nullptr) {
-    metric_append_bytes_->Observe(static_cast<double>(buffer.size()));
+    metric_append_bytes_->Observe(
+        static_cast<double>(RecordFile::kFrameBytes + payload.size()));
   }
   return Status::OK();
 }
@@ -635,8 +452,8 @@ Status IngestLog::TruncateBefore(uint64_t lsn, size_t keep_sealed_segments) {
 
 Status IngestLog::Sync() {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (active_fd_ < 0) return Status::OK();
-  return FsyncFd(active_fd_, segments_.back().path);
+  if (!active_.is_open()) return Status::OK();
+  return active_.Sync();
 }
 
 Status IngestLog::Replay(

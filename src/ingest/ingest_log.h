@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "durable/durable_file.h"
 #include "ingest/dedup.h"
 #include "obs/metrics.h"
 #include "stream/batch.h"
@@ -68,9 +69,9 @@ struct IngestLogStats {
 /// Durable append-only write-ahead log of admitted SUBMITs.
 ///
 /// The log is a directory of segment files (`ingest-<base_lsn>.seg`), each
-/// opened with the CheckpointStore idiom: written to a `.tmp` first and
-/// renamed into place, so a reader never observes a segment without its
-/// header. Segment layout:
+/// a durable RecordFile (durable/durable_file.h) whose head is written as
+/// an AtomicFile, so a reader never observes a segment without its header.
+/// Segment layout:
 ///
 ///   u32 magic 'FWIG' | u32 format version | u64 base_lsn    (header)
 ///   u32 payload size | u32 payload CRC-32 | payload bytes   (per record)
@@ -85,11 +86,12 @@ struct IngestLogStats {
 /// of the remaining records rebuilds the exact dedup state, which is what
 /// makes checkpoint-anchored truncation (TruncateBefore) safe.
 ///
-/// Open() validates every record CRC in order. A bad record in the *last*
-/// segment is a torn tail (the process died mid-append): the file is
+/// Open() scans every segment with the durable layer's torn-tail rule. A
+/// torn tail in the *last* segment (the process died mid-append) is
 /// truncated back to the last good record and appending resumes there. A
-/// bad record in any earlier segment is real corruption and fails Open —
-/// sealed segments are never written again, so a tear cannot explain it.
+/// torn record in any earlier segment is real corruption and fails Open —
+/// sealed segments are never written again, so a tear cannot explain it —
+/// as is a CRC-valid record that does not decode, in any segment.
 ///
 /// Thread-safe: Append/AppendRevert/Rotate/TruncateBefore serialize on an
 /// internal mutex (reactor workers on different connections append
@@ -97,7 +99,6 @@ struct IngestLogStats {
 class IngestLog {
  public:
   explicit IngestLog(IngestLogOptions options);
-  ~IngestLog();
 
   IngestLog(const IngestLog&) = delete;
   IngestLog& operator=(const IngestLog&) = delete;
@@ -162,7 +163,7 @@ class IngestLog {
   };
 
   Status OpenLocked(DedupIndex* dedup);
-  /// Creates `ingest-<base_lsn>.seg` via tmp+rename (header + watermark
+  /// Creates `ingest-<base_lsn>.seg` as an AtomicFile (header + watermark
   /// snapshot when a dedup index is attached) and opens it for appending.
   Status StartSegmentLocked(uint64_t base_lsn);
   Status AppendPayloadLocked(const std::vector<char>& payload);
@@ -174,8 +175,8 @@ class IngestLog {
   mutable std::mutex mutex_;
   bool opened_ = false;
   std::vector<Segment> segments_;
-  int active_fd_ = -1;
-  size_t active_size_ = 0;
+  /// The newest segment, open for appending (closed in read_only mode).
+  RecordFile active_;
   uint64_t next_lsn_ = 1;
   DedupIndex* dedup_ = nullptr;
   IngestLogStats stats_;

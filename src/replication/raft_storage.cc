@@ -1,13 +1,10 @@
 #include "replication/raft_storage.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <cstring>
 #include <filesystem>
 
 #include "common/logging.h"
+#include "durable/durable_file.h"
 #include "fault/failpoint.h"
 #include "stream/batch_codec.h"
 
@@ -20,67 +17,11 @@ namespace {
 constexpr uint32_t kStateMagic = 0x53525746;  // 'FWRS'
 constexpr uint32_t kLogMagic = 0x4C525746;    // 'FWRL'
 constexpr uint32_t kFormatVersion = 1;
+constexpr size_t kStateBytes = 28;
 constexpr size_t kLogHeaderBytes = 8;
-constexpr size_t kRecordHeaderBytes = 8;
-/// An entry payload above this is corruption, not data — matches the wire
-/// protocol's frame bound, since every command arrived in one frame.
-constexpr uint32_t kMaxEntryPayload = 64u << 20;
 
 /// Entry payload section tag.
 constexpr uint32_t kTagEntry = 0x544E4552;  // 'RENT'
-
-std::string ErrnoMessage(const std::string& what, const std::string& path) {
-  return what + " " + path + ": " + std::strerror(errno);
-}
-
-class ScopedFd {
- public:
-  explicit ScopedFd(int fd) : fd_(fd) {}
-  ~ScopedFd() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-  ScopedFd(const ScopedFd&) = delete;
-  ScopedFd& operator=(const ScopedFd&) = delete;
-
-  int get() const { return fd_; }
-  int Release() {
-    int fd = fd_;
-    fd_ = -1;
-    return fd;
-  }
-
- private:
-  int fd_;
-};
-
-Status WriteAll(int fd, const char* data, size_t size,
-                const std::string& path) {
-  size_t written = 0;
-  while (written < size) {
-    ssize_t n = ::write(fd, data + written, size - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IoError(ErrnoMessage("raft: write failed for", path));
-    }
-    written += static_cast<size_t>(n);
-  }
-  return Status::OK();
-}
-
-Status FsyncFd(int fd, const std::string& path) {
-  if (::fsync(fd) != 0) {
-    return Status::IoError(ErrnoMessage("raft: fsync failed for", path));
-  }
-  return Status::OK();
-}
-
-Status FsyncPath(const std::string& path) {
-  ScopedFd fd(::open(path.c_str(), O_RDONLY));
-  if (fd.get() < 0) {
-    return Status::IoError(ErrnoMessage("raft: open for fsync", path));
-  }
-  return FsyncFd(fd.get(), path);
-}
 
 void AppendU32(std::vector<char>* out, uint32_t v) {
   out->insert(out->end(), reinterpret_cast<const char*>(&v),
@@ -101,8 +42,8 @@ std::vector<char> EncodeEntryPayload(const RaftEntry& entry) {
   return writer.Take();
 }
 
-Status DecodeEntryPayload(const char* data, size_t size, RaftEntry* entry) {
-  SnapshotReader reader(std::span<const char>(data, size));
+Status DecodeEntryPayload(std::span<const char> payload, RaftEntry* entry) {
+  SnapshotReader reader(payload);
   RETURN_IF_ERROR(reader.ExpectSection(kTagEntry));
   RETURN_IF_ERROR(reader.ReadU64(&entry->index));
   RETURN_IF_ERROR(reader.ReadU64(&entry->term));
@@ -114,10 +55,6 @@ Status DecodeEntryPayload(const char* data, size_t size, RaftEntry* entry) {
 
 DurableRaftStorage::DurableRaftStorage(DurableRaftStorageOptions options)
     : options_(std::move(options)) {}
-
-DurableRaftStorage::~DurableRaftStorage() {
-  if (log_fd_ >= 0) ::close(log_fd_);
-}
 
 Status DurableRaftStorage::Open() {
   if (opened_) {
@@ -141,28 +78,25 @@ Status DurableRaftStorage::Open() {
 Status DurableRaftStorage::LoadHardState() {
   const std::string path =
       (fs::path(options_.directory) / "raft-state.dat").string();
-  ScopedFd fd(::open(path.c_str(), O_RDONLY));
-  if (fd.get() < 0) {
-    if (errno == ENOENT) {
-      term_ = 0;
-      voted_for_ = 0;
-      return Status::OK();  // fresh node
-    }
-    return Status::IoError(ErrnoMessage("raft: open state", path));
+  Result<std::vector<char>> read = AtomicFile::Read(path);
+  if (read.status().code() == StatusCode::kNotFound) {
+    term_ = 0;
+    voted_for_ = 0;
+    return Status::OK();  // fresh node
   }
-  char buf[28];
-  ssize_t n = ::read(fd.get(), buf, sizeof(buf));
-  if (n != static_cast<ssize_t>(sizeof(buf))) {
+  if (!read.ok()) return read.status();
+  const std::vector<char>& buf = *read;
+  if (buf.size() < kStateBytes) {
     return Status::IoError("raft: state file " + path + " truncated (" +
-                           std::to_string(n) + " bytes)");
+                           std::to_string(buf.size()) + " bytes)");
   }
   uint32_t magic, version, crc;
   uint64_t term, voted_for;
-  std::memcpy(&magic, buf, 4);
-  std::memcpy(&version, buf + 4, 4);
-  std::memcpy(&term, buf + 8, 8);
-  std::memcpy(&voted_for, buf + 16, 8);
-  std::memcpy(&crc, buf + 24, 4);
+  std::memcpy(&magic, buf.data(), 4);
+  std::memcpy(&version, buf.data() + 4, 4);
+  std::memcpy(&term, buf.data() + 8, 8);
+  std::memcpy(&voted_for, buf.data() + 16, 8);
+  std::memcpy(&crc, buf.data() + 24, 4);
   if (magic != kStateMagic) {
     return Status::IoError("raft: state file " + path + " bad magic");
   }
@@ -170,7 +104,7 @@ Status DurableRaftStorage::LoadHardState() {
     return Status::IoError("raft: state file " + path +
                            " unsupported version " + std::to_string(version));
   }
-  if (crc != Crc32(buf + 8, 16)) {
+  if (crc != Crc32(buf.data() + 8, 16)) {
     return Status::IoError("raft: state file " + path + " CRC mismatch");
   }
   term_ = term;
@@ -181,85 +115,42 @@ Status DurableRaftStorage::LoadHardState() {
 Status DurableRaftStorage::PersistHardState() {
   RETURN_IF_ERROR(
       failpoint::Check(options_.failpoint_scope + "raft.persist"));
-  const fs::path final_path = fs::path(options_.directory) / "raft-state.dat";
-  const fs::path tmp_path = fs::path(options_.directory) / "raft-state.tmp";
   std::vector<char> buf;
-  buf.reserve(28);
+  buf.reserve(kStateBytes);
   AppendU32(&buf, kStateMagic);
   AppendU32(&buf, kFormatVersion);
   AppendU64(&buf, term_);
   AppendU64(&buf, voted_for_);
   AppendU32(&buf, Crc32(buf.data() + 8, 16));
-  {
-    ScopedFd fd(::open(tmp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644));
-    if (fd.get() < 0) {
-      return Status::IoError(
-          ErrnoMessage("raft: create state tmp", tmp_path.string()));
-    }
-    RETURN_IF_ERROR(
-        WriteAll(fd.get(), buf.data(), buf.size(), tmp_path.string()));
-    if (options_.fsync) {
-      RETURN_IF_ERROR(FsyncFd(fd.get(), tmp_path.string()));
-    }
-  }
-  std::error_code ec;
-  fs::rename(tmp_path, final_path, ec);
-  if (ec) {
-    return Status::IoError("raft: rename state to " + final_path.string() +
-                           ": " + ec.message());
-  }
-  if (options_.fsync) {
-    RETURN_IF_ERROR(FsyncPath(options_.directory));
-  }
-  return Status::OK();
+  return AtomicFile::Write(
+      (fs::path(options_.directory) / "raft-state.dat").string(), {buf},
+      options_.fsync);
 }
 
 Status DurableRaftStorage::LoadLog() {
   const std::string path =
       (fs::path(options_.directory) / "raft-log.dat").string();
-  ScopedFd fd(::open(path.c_str(), O_RDWR | O_CREAT, 0644));
-  if (fd.get() < 0) {
-    return Status::IoError(ErrnoMessage("raft: open log", path));
-  }
-  std::error_code ec;
-  const uint64_t file_size = fs::file_size(path, ec);
-  if (ec) {
-    return Status::IoError("raft: stat log " + path + ": " + ec.message());
-  }
   entries_.clear();
   entry_offsets_.clear();
-
-  if (file_size == 0) {
+  Result<RecordScan> scanned = RecordFile::Scan(path, kLogHeaderBytes);
+  if (scanned.status().code() == StatusCode::kNotFound ||
+      (scanned.ok() && scanned->bytes.empty())) {
     // Fresh log: write the header.
     std::vector<char> header;
     AppendU32(&header, kLogMagic);
     AppendU32(&header, kFormatVersion);
-    RETURN_IF_ERROR(WriteAll(fd.get(), header.data(), header.size(), path));
-    if (options_.fsync) RETURN_IF_ERROR(FsyncFd(fd.get(), path));
+    RETURN_IF_ERROR(AtomicFile::Write(path, {header}, options_.fsync));
     entry_offsets_.push_back(kLogHeaderBytes);
-    log_fd_ = fd.Release();
-    return Status::OK();
+    return log_.Open(path);
   }
-  if (file_size < kLogHeaderBytes) {
+  if (!scanned.ok()) return scanned.status();
+  const RecordScan& scan = *scanned;
+  if (scan.bytes.size() < kLogHeaderBytes) {
     return Status::IoError("raft: log " + path + " shorter than its header");
   }
-  std::vector<char> bytes(file_size);
-  size_t got = 0;
-  while (got < bytes.size()) {
-    ssize_t n = ::read(fd.get(), bytes.data() + got, bytes.size() - got);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IoError(ErrnoMessage("raft: read log", path));
-    }
-    if (n == 0) break;
-    got += static_cast<size_t>(n);
-  }
-  if (got != bytes.size()) {
-    return Status::IoError("raft: short read of log " + path);
-  }
   uint32_t magic, version;
-  std::memcpy(&magic, bytes.data(), 4);
-  std::memcpy(&version, bytes.data() + 4, 4);
+  std::memcpy(&magic, scan.bytes.data(), 4);
+  std::memcpy(&version, scan.bytes.data() + 4, 4);
   if (magic != kLogMagic) {
     return Status::IoError("raft: log " + path + " bad magic");
   }
@@ -267,22 +158,18 @@ Status DurableRaftStorage::LoadLog() {
     return Status::IoError("raft: log " + path + " unsupported version " +
                            std::to_string(version));
   }
-  // Scan records; the first invalid one is a torn tail — truncate there.
-  size_t offset = kLogHeaderBytes;
+  // Every record before the torn tail must decode into the next dense
+  // entry; a CRC-valid record that does not is corruption, not a tear.
+  uint64_t offset = kLogHeaderBytes;
   entry_offsets_.push_back(offset);
-  while (offset + kRecordHeaderBytes <= bytes.size()) {
-    uint32_t payload_size, crc;
-    std::memcpy(&payload_size, bytes.data() + offset, 4);
-    std::memcpy(&crc, bytes.data() + offset + 4, 4);
-    if (payload_size == 0 || payload_size > kMaxEntryPayload ||
-        offset + kRecordHeaderBytes + payload_size > bytes.size()) {
-      break;  // torn
-    }
-    const char* payload = bytes.data() + offset + kRecordHeaderBytes;
-    if (Crc32(payload, payload_size) != crc) break;  // torn
+  for (std::span<const char> payload : scan.payloads) {
     RaftEntry entry;
-    Status parsed = DecodeEntryPayload(payload, payload_size, &entry);
-    if (!parsed.ok()) break;  // torn
+    Status parsed = DecodeEntryPayload(payload, &entry);
+    if (!parsed.ok()) {
+      return Status::IoError("raft: log " + path + " entry " +
+                             std::to_string(entries_.size() + 1) +
+                             " is corrupt: " + parsed.message());
+    }
     if (entry.index != entries_.size() + 1) {
       return Status::IoError("raft: log " + path + " entry index " +
                              std::to_string(entry.index) +
@@ -290,56 +177,35 @@ Status DurableRaftStorage::LoadLog() {
                              std::to_string(entries_.size() + 1));
     }
     entries_.push_back(std::move(entry));
-    offset += kRecordHeaderBytes + payload_size;
+    offset += RecordFile::kFrameBytes + payload.size();
     entry_offsets_.push_back(offset);
   }
-  if (offset < file_size) {
-    torn_bytes_truncated_ = file_size - offset;
+  RETURN_IF_ERROR(log_.Open(path));
+  if (!scan.torn.ok()) {
+    torn_bytes_truncated_ = scan.bytes.size() - scan.valid_end;
     FREEWAY_LOG(kWarning) << "raft: truncating torn log tail of "
-                          << torn_bytes_truncated_ << " bytes in " << path;
-    if (::ftruncate(fd.get(), static_cast<off_t>(offset)) != 0) {
-      return Status::IoError(ErrnoMessage("raft: truncate torn tail", path));
-    }
+                          << torn_bytes_truncated_ << " bytes in " << path
+                          << ": " << scan.torn.message();
+    RETURN_IF_ERROR(log_.Truncate(scan.valid_end));
   }
-  if (::lseek(fd.get(), static_cast<off_t>(offset), SEEK_SET) < 0) {
-    return Status::IoError(ErrnoMessage("raft: seek log", path));
-  }
-  log_fd_ = fd.Release();
   return Status::OK();
 }
 
 Status DurableRaftStorage::PersistAppend(const RaftEntry& entry) {
   RETURN_IF_ERROR(
       failpoint::Check(options_.failpoint_scope + "raft.persist"));
-  const std::string path =
-      (fs::path(options_.directory) / "raft-log.dat").string();
-  std::vector<char> payload = EncodeEntryPayload(entry);
-  std::vector<char> record;
-  record.reserve(kRecordHeaderBytes + payload.size());
-  AppendU32(&record, static_cast<uint32_t>(payload.size()));
-  AppendU32(&record, Crc32(payload.data(), payload.size()));
-  record.insert(record.end(), payload.begin(), payload.end());
-  RETURN_IF_ERROR(WriteAll(log_fd_, record.data(), record.size(), path));
-  if (options_.fsync) RETURN_IF_ERROR(FsyncFd(log_fd_, path));
-  entry_offsets_.push_back(entry_offsets_.back() + record.size());
+  RETURN_IF_ERROR(log_.Append(EncodeEntryPayload(entry), options_.fsync));
+  entry_offsets_.push_back(log_.size());
   return Status::OK();
 }
 
 Status DurableRaftStorage::PersistTruncateSuffix(uint64_t from_index) {
   RETURN_IF_ERROR(
       failpoint::Check(options_.failpoint_scope + "raft.persist"));
-  const std::string path =
-      (fs::path(options_.directory) / "raft-log.dat").string();
   FREEWAY_DCHECK(from_index >= 1 && from_index <= entry_offsets_.size())
       << "raft truncate index " << from_index << " out of range";
-  const uint64_t offset = entry_offsets_[from_index - 1];
-  if (::ftruncate(log_fd_, static_cast<off_t>(offset)) != 0) {
-    return Status::IoError(ErrnoMessage("raft: truncate log", path));
-  }
-  if (::lseek(log_fd_, static_cast<off_t>(offset), SEEK_SET) < 0) {
-    return Status::IoError(ErrnoMessage("raft: seek log", path));
-  }
-  if (options_.fsync) RETURN_IF_ERROR(FsyncFd(log_fd_, path));
+  RETURN_IF_ERROR(log_.Truncate(entry_offsets_[from_index - 1]));
+  if (options_.fsync) RETURN_IF_ERROR(log_.Sync());
   entry_offsets_.resize(from_index);
   return Status::OK();
 }

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "durable/durable_file.h"
 #include "replication/raft.h"
 
 namespace freeway {
@@ -23,19 +24,22 @@ struct DurableRaftStorageOptions {
 
 /// RaftStorage that writes through to disk.
 ///
-/// Hard state (`raft-state.dat`) uses the checkpoint-store tmp+rename
-/// idiom: the 28-byte CRC-checked file is rewritten atomically on every
-/// term/vote change, so a crash mid-write leaves the previous state intact
-/// and the node can never come back having forgotten a vote it handed out.
+/// Both files go through the durable layer (durable/durable_file.h). Hard
+/// state (`raft-state.dat`) is an AtomicFile: the 28-byte CRC-checked file
+/// is rewritten atomically on every term/vote change, so a crash mid-write
+/// leaves the previous state intact and the node can never come back
+/// having forgotten a vote it handed out.
 ///
-/// The log (`raft-log.dat`) is append-only with CRC-checked records:
+/// The log (`raft-log.dat`) is a RecordFile:
 ///
 ///   u32 magic 'FWRL' | u32 format version                (header)
 ///   u32 payload size | u32 payload CRC-32 | payload      (per entry)
 ///
-/// Open() validates records in order; the first bad record is treated as a
-/// torn tail (the process died mid-append) and the file is truncated back
-/// to the last good entry — exactly the ingest-log recovery contract.
+/// Open() applies the durable layer's torn-tail rule, the same one the
+/// ingest log uses: a torn tail (the process died mid-append) is truncated
+/// back to the last good entry, while a CRC-valid record that does not
+/// decode as the next entry fails Open and truncates nothing. A failed
+/// append is rolled back with ftruncate.
 /// TruncateSuffix ftruncates at the entry's recorded byte offset, which is
 /// how a follower discards uncommitted entries that conflict with a new
 /// leader. The log keeps its full prefix (no compaction): a rejoining
@@ -48,7 +52,6 @@ struct DurableRaftStorageOptions {
 class DurableRaftStorage : public RaftStorage {
  public:
   explicit DurableRaftStorage(DurableRaftStorageOptions options);
-  ~DurableRaftStorage() override;
 
   DurableRaftStorage(const DurableRaftStorage&) = delete;
   DurableRaftStorage& operator=(const DurableRaftStorage&) = delete;
@@ -71,7 +74,7 @@ class DurableRaftStorage : public RaftStorage {
 
   DurableRaftStorageOptions options_;
   bool opened_ = false;
-  int log_fd_ = -1;
+  RecordFile log_;
   /// Byte offset where entry `i+1` starts in raft-log.dat; the next append
   /// goes at entry_offsets_.back() (always size()+1 elements once open).
   std::vector<uint64_t> entry_offsets_;

@@ -112,15 +112,16 @@ Status Replicator::Start(uint64_t initial_applied_batches) {
   batches_seen_ = 0;
   applied_index_.store(0, std::memory_order_release);
   stop_.store(false, std::memory_order_release);
-  driver_ = std::thread([this] { DriverLoop(); });
-  applier_ = std::thread([this] { ApplierLoop(); });
-  started_ = true;
+  // Logged before the driver starts: from then on it owns the storage.
   FREEWAY_LOG(kInfo) << "replicator node " << options_.node_id << " started ("
                      << options_.peers.size() + 1 << "-node cluster, term "
                      << storage_->current_term() << ", log "
                      << storage_->last_index() << " entries, skipping "
                      << initial_applied_batches
                      << " already-applied batch commands)";
+  driver_ = std::thread([this] { DriverLoop(); });
+  applier_ = std::thread([this] { ApplierLoop(); });
+  started_ = true;
   return Status::OK();
 }
 
@@ -314,7 +315,14 @@ void Replicator::DrainProposals() {
       }
       continue;
     }
+    // Propose persists the entry locally (PersistAppend) and queues its
+    // AppendEntries broadcast: the leader's whole append step.
+    const auto propose_start = Clock::now();
     Result<uint64_t> index = node_->Propose(pending->command);
+    if (metric_propose_seconds_ != nullptr) {
+      metric_propose_seconds_->Observe(
+          std::chrono::duration<double>(Clock::now() - propose_start).count());
+    }
     if (!index.ok()) {
       if (pending->client_id != 0) {
         in_flight_.erase({pending->client_id, pending->sequence});

@@ -213,34 +213,55 @@ TEST_F(IngestLogTest, ReopenRebuildsWatermarksAndContinuesLsns) {
 }
 
 TEST_F(IngestLogTest, TornTailIsTruncatedAndAppendResumes) {
-  fs::path segment;
-  uintmax_t full_size = 0;
-  {
-    IngestLog log(Options());
-    ASSERT_TRUE(log.Open(nullptr).ok());
-    ASSERT_TRUE(log.Append(MakeRecord(1, 1, 5, 1)).ok());
-    ASSERT_TRUE(log.Append(MakeRecord(1, 2, 5, 2)).ok());
-    for (const auto& entry : fs::directory_iterator(dir_)) {
-      segment = entry.path();
+  // Two ways a crash tears the active segment: the last record half
+  // written (7 bytes cut), and the file grown by zero-filled blocks the
+  // record never reached (8 zero bytes appended, a zero-size frame whose
+  // empty payload passes the CRC).
+  for (const bool zero_fill : {false, true}) {
+    SCOPED_TRACE(zero_fill ? "8 zero bytes appended" : "7 bytes cut");
+    fs::remove_all(dir_);
+    fs::path segment;
+    uintmax_t full_size = 0;
+    {
+      IngestLog log(Options());
+      ASSERT_TRUE(log.Open(nullptr).ok());
+      ASSERT_TRUE(log.Append(MakeRecord(1, 1, 5, 1)).ok());
+      ASSERT_TRUE(log.Append(MakeRecord(1, 2, 5, 2)).ok());
+      for (const auto& entry : fs::directory_iterator(dir_)) {
+        segment = entry.path();
+      }
+      full_size = fs::file_size(segment);
     }
-    full_size = fs::file_size(segment);
-  }
-  // Tear the tail: the process "died" with the last record half-written.
-  fs::resize_file(segment, full_size - 7);
+    if (zero_fill) {
+      std::ofstream out(segment, std::ios::binary | std::ios::app);
+      const char zeros[8] = {};
+      out.write(zeros, sizeof(zeros));
+    } else {
+      fs::resize_file(segment, full_size - 7);
+    }
+    const uint64_t intact = zero_fill ? 2 : 1;
 
-  IngestLog log(Options());
-  DedupIndex dedup;
-  ASSERT_TRUE(log.Open(&dedup).ok());
-  EXPECT_EQ(log.stats().recovered_records, 1u);
-  EXPECT_GT(log.stats().torn_bytes_truncated, 0u);
-  // The torn record is gone for good — its watermark never advanced...
-  EXPECT_EQ(dedup.Watermark(1), 1u);
-  ASSERT_EQ(ReplayAll(log).size(), 1u);
-  // ...and its LSN is reused by the next append, keeping LSNs dense.
-  Result<uint64_t> lsn = log.Append(MakeRecord(1, 2, 5, 2));
-  ASSERT_TRUE(lsn.ok());
-  EXPECT_EQ(*lsn, 2u);
-  EXPECT_EQ(ReplayAll(log).size(), 2u);
+    IngestLog log(Options());
+    DedupIndex dedup;
+    Status opened = log.Open(&dedup);
+    ASSERT_TRUE(opened.ok()) << opened;
+    EXPECT_EQ(log.stats().recovered_records, intact);
+    if (zero_fill) {
+      EXPECT_EQ(log.stats().torn_bytes_truncated, 8u);
+      EXPECT_EQ(fs::file_size(segment), full_size);
+    } else {
+      EXPECT_GT(log.stats().torn_bytes_truncated, 0u);
+    }
+    // The torn record is gone for good — its watermark never advanced...
+    EXPECT_EQ(dedup.Watermark(1), intact);
+    ASSERT_EQ(ReplayAll(log).size(), intact);
+    // ...and the next append takes the next LSN, keeping LSNs dense.
+    Result<uint64_t> lsn =
+        log.Append(MakeRecord(1, intact + 1, 5, intact + 1));
+    ASSERT_TRUE(lsn.ok());
+    EXPECT_EQ(*lsn, intact + 1);
+    EXPECT_EQ(ReplayAll(log).size(), intact + 1);
+  }
 }
 
 TEST_F(IngestLogTest, CorruptSealedSegmentFailsOpen) {

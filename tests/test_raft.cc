@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <csignal>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <set>
@@ -10,6 +13,7 @@
 #include "fault/failpoint.h"
 #include "replication/raft.h"
 #include "replication/raft_storage.h"
+#include "stream/batch_codec.h"
 
 namespace freeway {
 namespace {
@@ -479,6 +483,66 @@ TEST_F(DurableRaftStorageTest, TornLogTailIsTruncatedOnOpen) {
   EXPECT_GT(storage.torn_bytes_truncated(), 0u);
   // The log is usable again at the cut point.
   ASSERT_TRUE(storage.Append({{2, 2, Cmd("fresh")}}).ok());
+}
+
+TEST_F(DurableRaftStorageTest, UndecodableLogRecordFailsOpen) {
+  {
+    DurableRaftStorage storage(Options());
+    ASSERT_TRUE(storage.Open().ok());
+    ASSERT_TRUE(
+        storage.Append({{1, 1, Cmd("one")}, {2, 1, Cmd("two")}}).ok());
+  }
+  // A correctly framed, CRC-valid record whose payload is not a 'RENT'
+  // section: no crash mid-append writes that, so it is corruption.
+  const fs::path log_path = dir_ / "raft-log.dat";
+  const std::string payload = "not a raft entry";
+  const uint32_t size = static_cast<uint32_t>(payload.size());
+  const uint32_t crc = Crc32(payload.data(), payload.size());
+  {
+    std::ofstream out(log_path, std::ios::binary | std::ios::app);
+    out.write(reinterpret_cast<const char*>(&size), sizeof(size));
+    out.write(reinterpret_cast<const char*>(&crc), sizeof(crc));
+    out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
+  }
+  const uintmax_t corrupt_size = fs::file_size(log_path);
+
+  DurableRaftStorage storage(Options());
+  EXPECT_FALSE(storage.Open().ok());
+  EXPECT_EQ(storage.torn_bytes_truncated(), 0u);
+  EXPECT_EQ(fs::file_size(log_path), corrupt_size);
+}
+
+TEST_F(DurableRaftStorageTest, FailedAppendIsRolledBack) {
+  DurableRaftStorage storage(Options());
+  ASSERT_TRUE(storage.Open().ok());
+  ASSERT_TRUE(storage.Append({{1, 1, Cmd("kept")}}).ok());
+  const fs::path log_path = dir_ / "raft-log.dat";
+  const uintmax_t size_before = fs::file_size(log_path);
+  {
+    // A file-size limit just past the current end makes the next append a
+    // partial write followed by EFBIG — the disk filling up mid-record.
+    struct rlimit saved {};
+    ASSERT_EQ(getrlimit(RLIMIT_FSIZE, &saved), 0);
+    struct rlimit limited = saved;
+    limited.rlim_cur = size_before + 16;
+    void (*previous)(int) = std::signal(SIGXFSZ, SIG_IGN);
+    ASSERT_EQ(setrlimit(RLIMIT_FSIZE, &limited), 0);
+    Status st = storage.Append({{2, 1, Cmd(std::string(256, 'x'))}});
+    ASSERT_EQ(setrlimit(RLIMIT_FSIZE, &saved), 0);
+    std::signal(SIGXFSZ, previous);
+    EXPECT_FALSE(st.ok());
+  }
+  // The partial record is gone, so the next entry lands where it belongs
+  // and survives a restart.
+  EXPECT_EQ(fs::file_size(log_path), size_before);
+  EXPECT_EQ(storage.last_index(), 1u);
+  ASSERT_TRUE(storage.Append({{2, 1, Cmd("after")}}).ok());
+
+  DurableRaftStorage reopened(Options());
+  ASSERT_TRUE(reopened.Open().ok());
+  EXPECT_EQ(reopened.torn_bytes_truncated(), 0u);
+  ASSERT_EQ(reopened.last_index(), 2u);
+  EXPECT_EQ(CmdStr(reopened.At(2)), "after");
 }
 
 TEST_F(DurableRaftStorageTest, CorruptHardStateFailsOpen) {

@@ -246,6 +246,11 @@ TEST_F(ReplicationTest, ThreeNodeLogsAreBitIdentical) {
               static_cast<uint64_t>(kBatches))
         << "node " << i;
   }
+  // Every proposal the leader appended was timed.
+  EXPECT_GT(registries_[leader]
+                ->GetHistogram("freeway_raft_append_seconds")
+                ->TotalCount(),
+            0u);
   const std::string reference = LogBytes(0);
   ASSERT_FALSE(reference.empty());
   EXPECT_EQ(LogBytes(1), reference);
